@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"rexchange/internal/cluster"
 )
@@ -73,68 +72,55 @@ func (st *state) destroyWorst(q int) {
 // the seed's machine. Removing related shards together lets repair
 // recombine them more freely than unrelated random picks.
 func (st *state) destroyRelated(q int) {
-	c := st.cur.Cluster()
-	n := c.NumShards()
+	n := st.cur.Cluster().NumShards()
 	if n == 0 || q <= 0 {
 		return
 	}
 	seed := cluster.ShardID(st.rng.Intn(n))
+	nearest := st.nearestShards(seed, q-1)
+	st.removeToPool(seed)
+	for _, e := range nearest {
+		st.removeToPool(cluster.ShardID(e.id))
+	}
+}
+
+// nearestShards returns the k shards other than seed nearest to it in
+// Shaw relatedness, ascending by (distance, shard ID). It is a bounded
+// selection, so a call costs one distance per shard rather than a sort of
+// the whole cluster. The result aliases st.selHeap.
+//
+//rexlint:noalloc
+func (st *state) nearestShards(seed cluster.ShardID, k int) []ranked {
+	c := st.cur.Cluster()
 	seedSh := &c.Shards[seed]
 	seedHome := st.cur.Home(seed)
-
-	loadScale := maxShardLoad(c)
-	staticScale := maxShardStatic(c)
-
-	all := st.relScratch[:0]
-	for i := 0; i < n; i++ {
+	h := st.selHeap[:0]
+	for i := range c.Shards {
 		s := cluster.ShardID(i)
 		if s == seed {
 			continue
 		}
 		sh := &c.Shards[i]
 		d := 0.0
-		if loadScale > 0 {
-			d += math.Abs(sh.Load-seedSh.Load) / loadScale
+		if st.loadScale > 0 {
+			d += math.Abs(sh.Load-seedSh.Load) / st.loadScale
 		}
-		if staticScale > 0 {
-			d += sh.Static.Dist2(seedSh.Static) / staticScale
+		if st.staticScale > 0 {
+			d += sh.Static.Dist2(seedSh.Static) / st.staticScale
 		}
 		if st.cur.Home(s) != seedHome {
 			d += 0.3
 		}
-		all = append(all, relScored{s, d})
+		h = keepLowest(h, k, ranked{d, i})
 	}
-	st.relScratch = all
-	st.relSorter.a = all
-	sort.Sort(&st.relSorter)
-	st.removeToPool(seed)
-	for i := 0; i < q-1 && i < len(all); i++ {
-		st.removeToPool(all[i].s)
-	}
+	st.selHeap = h
+	sortLowest(h)
+	return h
 }
 
-// relScored pairs a shard with its Shaw-relatedness distance to the seed.
-type relScored struct {
-	s    cluster.ShardID
-	dist float64
-}
-
-// relSorter orders relScored ascending by (dist, shard ID). The state holds
-// one instance and sorts through a pointer receiver, so the hot loop pays
-// no sort.Slice closure allocation.
-type relSorter struct{ a []relScored }
-
-func (r *relSorter) Len() int      { return len(r.a) }
-func (r *relSorter) Swap(i, j int) { r.a[i], r.a[j] = r.a[j], r.a[i] }
-func (r *relSorter) Less(i, j int) bool {
-	if r.a[i].dist < r.a[j].dist {
-		return true
-	}
-	if r.a[i].dist > r.a[j].dist {
-		return false
-	}
-	return r.a[i].s < r.a[j].s
-}
+// drainPicks is how many of the easiest-to-drain machines destroyDrain
+// chooses among, for diversification.
+const drainPicks = 4
 
 // destroyDrain empties one machine entirely, making it returnable as
 // compensation. It targets lightly loaded machines with few shards; if no
@@ -143,54 +129,30 @@ func (r *relSorter) Less(i, j int) bool {
 func (st *state) destroyDrain(q int) {
 	c := st.cur.Cluster()
 	limit := q + 4
-	cands := st.drainScratch[:0]
+	h := st.selHeap[:0]
 	for m := 0; m < c.NumMachines(); m++ {
 		id := cluster.MachineID(m)
 		cnt := st.cur.Count(id)
 		if cnt == 0 || cnt > limit {
 			continue
 		}
-		cands = append(cands, drainCand{id, st.cur.Utilization(id)})
+		h = keepLowest(h, drainPicks, ranked{st.cur.Utilization(id), m})
 	}
-	st.drainScratch = cands
-	if len(cands) == 0 {
+	st.selHeap = h
+	if len(h) == 0 {
 		st.destroyRandom(q)
 		return
 	}
-	st.drainSorter.a = cands
-	sort.Sort(&st.drainSorter)
-	// pick among the 4 easiest-to-drain machines for diversification
-	pick := cands[st.rng.Intn(min(4, len(cands)))]
+	sortLowest(h)
+	pick := cluster.MachineID(h[st.rng.Intn(len(h))].id)
 	ids := st.drainIDScratch[:0]
-	for i, n := 0, st.cur.Count(pick.m); i < n; i++ {
-		ids = append(ids, st.cur.ShardAt(pick.m, i))
+	for i, n := 0, st.cur.Count(pick); i < n; i++ {
+		ids = append(ids, st.cur.ShardAt(pick, i))
 	}
 	st.drainIDScratch = ids
 	for _, s := range ids {
 		st.removeToPool(s)
 	}
-}
-
-// drainCand is a drainable machine and its utilization.
-type drainCand struct {
-	m    cluster.MachineID
-	util float64
-}
-
-// drainSorter orders drainCand ascending by (utilization, machine ID);
-// pointer receiver for the same zero-allocation reason as relSorter.
-type drainSorter struct{ a []drainCand }
-
-func (d *drainSorter) Len() int      { return len(d.a) }
-func (d *drainSorter) Swap(i, j int) { d.a[i], d.a[j] = d.a[j], d.a[i] }
-func (d *drainSorter) Less(i, j int) bool {
-	if d.a[i].util < d.a[j].util {
-		return true
-	}
-	if d.a[i].util > d.a[j].util {
-		return false
-	}
-	return d.a[i].m < d.a[j].m
 }
 
 // removeToPool unassigns s and records it for repair.

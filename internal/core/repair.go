@@ -28,6 +28,8 @@ func (st *state) insertCost(s cluster.ShardID, m cluster.MachineID) float64 {
 // bestMachineFor scans all machines for the cheapest feasible insertion of
 // s, breaking cost ties toward the machine with more static slack (to keep
 // future insertions feasible). Returns Unassigned when nothing fits.
+//
+//rexlint:noalloc
 func (st *state) bestMachineFor(s cluster.ShardID) (cluster.MachineID, float64) {
 	c := st.cur.Cluster()
 	best := cluster.Unassigned
@@ -35,10 +37,12 @@ func (st *state) bestMachineFor(s cluster.ShardID) (cluster.MachineID, float64) 
 	bestSlack := -1.0
 	for m := 0; m < c.NumMachines(); m++ {
 		id := cluster.MachineID(m)
-		if !st.canInsert(s, id) {
+		// The cost test is cheap and rejects most machines; one that can
+		// neither win nor tie within 1e-12 is skipped before CanPlace.
+		cost := st.insertCost(s, id)
+		if cost > bestCost+1e-12 || !st.canInsert(s, id) {
 			continue
 		}
-		cost := st.insertCost(s, id)
 		if cost < bestCost-1e-12 {
 			best, bestCost = id, cost
 			bestSlack = st.cur.Free(id).MaxDim()
@@ -103,6 +107,8 @@ func (p *poolSorter) Less(i, j int) bool {
 // toward static slack), but it also reports the true second-lowest
 // insertion cost so the caller can compute a meaningful regret. c2 is +Inf
 // only when a single machine is feasible.
+//
+//rexlint:noalloc
 func (st *state) bestTwoMachinesFor(s cluster.ShardID) (best cluster.MachineID, c1, c2 float64) {
 	c := st.cur.Cluster()
 	best = cluster.Unassigned
@@ -110,10 +116,12 @@ func (st *state) bestTwoMachinesFor(s cluster.ShardID) (best cluster.MachineID, 
 	bestSlack := -1.0
 	for m := 0; m < c.NumMachines(); m++ {
 		id := cluster.MachineID(m)
-		if !st.canInsert(s, id) {
+		// Skip before CanPlace a machine that changes neither c2 nor the
+		// best-or-tied slot.
+		cost := st.insertCost(s, id)
+		if (cost >= c2 && cost > c1+1e-12) || !st.canInsert(s, id) {
 			continue
 		}
-		cost := st.insertCost(s, id)
 		switch {
 		case cost < c1-1e-12:
 			c2 = c1
@@ -152,20 +160,7 @@ func (st *state) repairRegret() bool {
 		var bestM cluster.MachineID
 		bestRegret := -1.0
 		for i, s := range remaining {
-			m1 := cluster.Unassigned
-			c1, c2 := math.Inf(1), math.Inf(1)
-			for _, id := range cands {
-				if !st.canInsert(s, id) {
-					continue
-				}
-				cost := st.insertCost(s, id)
-				switch {
-				case cost < c1:
-					m1, c2, c1 = id, c1, cost
-				case cost < c2:
-					c2 = cost
-				}
-			}
+			m1, c1, c2 := st.bestTwoAmong(s, cands)
 			if m1 == cluster.Unassigned {
 				// candidate subset failed: full scan for this shard
 				m1, c1, c2 = st.bestTwoMachinesFor(s)
@@ -194,22 +189,28 @@ func (st *state) repairRegret() bool {
 	return true
 }
 
-// machUtil is a machine with its utilization, ordered by (util, ID).
-type machUtil struct {
-	u float64
-	m cluster.MachineID
-}
-
-// ranksAfter reports whether a orders after b: higher utilization first,
-// machine ID as the deterministic tie-break.
-func (a machUtil) ranksAfter(b machUtil) bool {
-	if a.u > b.u {
-		return true
+// bestTwoAmong is repairRegret's scan of the candidate subset: the
+// cheapest feasible machine for s among cands and the two lowest feasible
+// insertion costs (first found wins a tie). A machine whose cost cannot
+// beat c2 changes nothing, so it is skipped before CanPlace runs.
+//
+//rexlint:noalloc
+func (st *state) bestTwoAmong(s cluster.ShardID, cands []cluster.MachineID) (m1 cluster.MachineID, c1, c2 float64) {
+	m1 = cluster.Unassigned
+	c1, c2 = math.Inf(1), math.Inf(1)
+	for _, id := range cands {
+		cost := st.insertCost(s, id)
+		if cost >= c2 || !st.canInsert(s, id) {
+			continue
+		}
+		switch {
+		case cost < c1:
+			m1, c2, c1 = id, c1, cost
+		case cost < c2:
+			c2 = cost
+		}
 	}
-	if a.u < b.u {
-		return false
-	}
-	return a.m > b.m
+	return m1, c1, c2
 }
 
 // candidateMachines returns the insertion-candidate subset used by
@@ -232,55 +233,14 @@ func (st *state) candidateMachines() []cluster.MachineID {
 		return out
 	}
 
-	// Bounded max-heap over (util, ID): the root is the worst of the best
-	// lowCount seen so far and is evicted whenever a better machine
-	// arrives.
-	h := st.candHeap[:0]
+	h := st.selHeap[:0]
 	for i := 0; i < n; i++ {
-		e := machUtil{st.cur.Utilization(cluster.MachineID(i)), cluster.MachineID(i)}
-		if len(h) < lowCount {
-			h = append(h, e)
-			for j := len(h) - 1; j > 0; { // sift up
-				parent := (j - 1) / 2
-				if !h[j].ranksAfter(h[parent]) {
-					break
-				}
-				h[j], h[parent] = h[parent], h[j]
-				j = parent
-			}
-			continue
-		}
-		if !h[0].ranksAfter(e) {
-			continue
-		}
-		h[0] = e
-		for j := 0; ; { // sift down
-			l, r := 2*j+1, 2*j+2
-			big := j
-			if l < len(h) && h[l].ranksAfter(h[big]) {
-				big = l
-			}
-			if r < len(h) && h[r].ranksAfter(h[big]) {
-				big = r
-			}
-			if big == j {
-				break
-			}
-			h[j], h[big] = h[big], h[j]
-			j = big
-		}
+		h = keepLowest(h, lowCount, ranked{st.cur.Utilization(cluster.MachineID(i)), i})
 	}
-	st.candHeap = h
-
-	// Emit the selection ascending by (util, ID) — the order the previous
-	// full sort produced — via insertion sort (24 elements, no closure).
-	for i := 1; i < len(h); i++ {
-		for j := i; j > 0 && h[j-1].ranksAfter(h[j]); j-- {
-			h[j], h[j-1] = h[j-1], h[j]
-		}
-	}
+	st.selHeap = h
+	sortLowest(h)
 	for _, e := range h {
-		out = append(out, e.m)
+		out = append(out, cluster.MachineID(e.id))
 	}
 
 	// Distinct random extras from the rest of the fleet; rejection

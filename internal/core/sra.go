@@ -45,18 +45,19 @@ type state struct {
 	savedMaxM     int
 	savedMaxDirty bool
 
+	// Shaw-relatedness scales for destroyRelated: the largest shard load
+	// and static footprint, constant for the cluster.
+	loadScale, staticScale float64
+
 	// Reusable scratch so the hot loop is allocation-free: a persistent
-	// shard permutation for destroyRandom, sortable candidate pools for
-	// the related/drain destroyers, and the candidate-machine and
-	// remaining-pool buffers for regret repair.
+	// shard permutation for destroyRandom, the bounded-selection heap
+	// shared by the related/drain destroyers and the regret candidate
+	// subset, and the candidate-machine and remaining-pool buffers for
+	// regret repair.
 	shardPerm      []cluster.ShardID
-	relScratch     []relScored
-	relSorter      relSorter
-	drainScratch   []drainCand
-	drainSorter    drainSorter
+	selHeap        []ranked
 	drainIDScratch []cluster.ShardID
 	candScratch    []cluster.MachineID
-	candHeap       []machUtil
 	remainScratch  []cluster.ShardID
 	poolSorter     poolSorter
 
@@ -97,6 +98,9 @@ func newState(cfg Config, p *cluster.Placement, k int) *state {
 		initialP: p,
 		initial:  p.Assignment(),
 		cur:      p.Clone(),
+
+		loadScale:   maxShardLoad(p.Cluster()),
+		staticScale: maxShardStatic(p.Cluster()),
 	}
 	if cfg.Operators.RandomRemove {
 		st.destroyOps = append(st.destroyOps, destroyOp{"random", (*state).destroyRandom})

@@ -72,3 +72,21 @@ func BenchmarkObjective(b *testing.B) {
 		_ = objective(p, 0.1, 0.02, initial)
 	}
 }
+
+// BenchmarkDestroyRelated measures one Shaw removal of the largest
+// destroy size at the exchange-solve scale (1000 machines, 15,000 shards,
+// 0.95 fill, K=8), rolled back after each op. It is dominated by the
+// per-shard distance scan and the bounded top-(q−1) selection.
+func BenchmarkDestroyRelated(b *testing.B) {
+	p := stringentInstance(b, 1000, 15000, 1, 8)
+	cfg := DefaultConfig()
+	st := newState(cfg, p, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.cur.BeginTxn()
+		st.pool = st.pool[:0]
+		st.destroyRelated(cfg.MaxDestroy)
+		st.cur.Rollback()
+	}
+}

@@ -15,12 +15,13 @@
 package plan
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"rexchange/internal/cluster"
 )
@@ -92,47 +93,49 @@ func (pl Planner) Build(from, to *cluster.Placement) (*Plan, error) {
 			from.UnassignedCount(), to.UnassignedCount())
 	}
 
-	target := to.Assignment()
-	w := from.Clone()
-
-	// pending: shards not yet on their final machine.
-	pendingSet := make(map[cluster.ShardID]bool)
-	for s := range target {
-		if w.Home(cluster.ShardID(s)) != target[s] {
-			pendingSet[cluster.ShardID(s)] = true
+	b := &builder{
+		pl:        pl,
+		c:         c,
+		w:         from.Clone(),
+		target:    to.Assignment(),
+		isPending: make([]bool, c.NumShards()),
+		hops:      make([]int, c.NumShards()),
+		seen:      make([]bool, c.NumMachines()),
+		plan:      &Plan{},
+	}
+	for s := range b.target {
+		if b.w.Home(cluster.ShardID(s)) != b.target[s] {
+			b.pending = append(b.pending, cluster.ShardID(s))
+			b.isPending[s] = true
 		}
 	}
-	needed := len(pendingSet)
+	// The sweep order's key is static, so the pending shards are sorted
+	// once here and kept in order from then on.
+	slices.SortFunc(b.pending, b.pendingOrder)
 	maxSteps := pl.MaxSteps
 	if maxSteps == 0 {
-		maxSteps = 8*needed + 64
+		maxSteps = 8*len(b.pending) + 64
 	}
-	maxHops := pl.MaxHops
-	if maxHops == 0 {
-		maxHops = 4
+	b.maxHops = pl.MaxHops
+	if b.maxHops == 0 {
+		b.maxHops = 4
 	}
 
-	plan := &Plan{}
-	hops := make(map[cluster.ShardID]int)
-
-	for len(pendingSet) > 0 {
+	w, plan := b.w, b.plan
+	for len(b.pending) > 0 {
 		if len(plan.Moves) >= maxSteps {
 			return nil, fmt.Errorf("%w: step budget %d exhausted with %d shards pending",
-				ErrInfeasible, maxSteps, len(pendingSet))
+				ErrInfeasible, maxSteps, len(b.pending))
 		}
-		pending := sortedPending(c, pendingSet)
 
 		// Phase 1: apply every direct move currently admissible. Largest
 		// shards first: they are the hardest to fit, so give them first
 		// pick of the free space.
 		progress := false
-		for _, s := range pending {
-			if !pendingSet[s] { // may have been resolved this sweep
-				continue
-			}
-			t := target[s]
+		for _, s := range b.pending {
+			t := b.target[s]
 			if w.Home(s) == t {
-				delete(pendingSet, s)
+				b.isPending[s] = false
 				continue
 			}
 			if w.CanPlace(s, t) {
@@ -141,40 +144,78 @@ func (pl Planner) Build(from, to *cluster.Placement) (*Plan, error) {
 				if cluster.DebugAsserts {
 					w.MustInvariants("plan direct move")
 				}
-				delete(pendingSet, s)
+				b.isPending[s] = false
 				progress = true
 			}
 		}
+		b.dropResolved()
 		if progress {
 			continue
 		}
 
 		// Phase 2: deadlock. Stage one blocking shard to an intermediate
 		// machine to open space.
-		if pl.stageOne(c, w, target, pendingSet, hops, maxHops, plan) {
+		if b.stageOne() {
 			continue
 		}
 		return nil, fmt.Errorf("%w: %d shards pending and no staging possible",
-			ErrInfeasible, len(pendingSet))
+			ErrInfeasible, len(b.pending))
 	}
 	return plan, nil
 }
 
-// sortedPending returns the pending shards ordered by decreasing static
-// footprint (ties by ID) for deterministic schedules.
-func sortedPending(c *cluster.Cluster, set map[cluster.ShardID]bool) []cluster.ShardID {
-	out := make([]cluster.ShardID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+// builder is the working state of one Build call.
+type builder struct {
+	pl      Planner
+	c       *cluster.Cluster
+	w       *cluster.Placement // working copy, advanced move by move
+	target  []cluster.MachineID
+	maxHops int
+	plan    *Plan
+
+	// pending holds the shards not yet on their target, in sweep order
+	// (pendingOrder); isPending is its membership by shard ID.
+	pending   []cluster.ShardID
+	isPending []bool
+	hops      []int // staging hops taken, by shard ID
+
+	// stageOne scratch, reused across calls: seen marks machines already
+	// in blocked and is all false between calls.
+	seen    []bool
+	blocked []cluster.MachineID
+	victims []candidate
+}
+
+// pendingOrder orders pending shards by decreasing static footprint,
+// ties by ID, so schedules are deterministic.
+func (b *builder) pendingOrder(x, y cluster.ShardID) int {
+	sx, sy := b.c.Shards[x].Static.MaxDim(), b.c.Shards[y].Static.MaxDim()
+	switch {
+	case sx > sy:
+		return -1
+	case sx < sy:
+		return 1
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := c.Shards[out[i]].Static.MaxDim(), c.Shards[out[j]].Static.MaxDim()
-		if a != b {
-			return a > b
+	return cmp.Compare(x, y)
+}
+
+// dropResolved compacts the shards a sweep resolved out of b.pending in
+// place, keeping the rest in order.
+func (b *builder) dropResolved() {
+	kept := b.pending[:0]
+	for _, s := range b.pending {
+		if b.isPending[s] {
+			kept = append(kept, s)
 		}
-		return out[i] < out[j]
-	})
-	return out
+	}
+	b.pending = kept
+}
+
+// addPending inserts s into b.pending at its sorted position.
+func (b *builder) addPending(s cluster.ShardID) {
+	i, _ := slices.BinarySearchFunc(b.pending, s, b.pendingOrder)
+	b.pending = slices.Insert(b.pending, i, s)
+	b.isPending[s] = true
 }
 
 // stageOne relocates one shard off a blocked target machine to an
@@ -182,103 +223,101 @@ func sortedPending(c *cluster.Cluster, set map[cluster.ShardID]bool) []cluster.S
 // order: (1) a pending shard sitting on some pending shard's target —
 // moving it is work we owe anyway; (2) with AllowDisplace, any shard on a
 // blocked target, which then becomes pending to return.
-func (pl Planner) stageOne(
-	c *cluster.Cluster,
-	w *cluster.Placement,
-	target []cluster.MachineID,
-	pendingSet map[cluster.ShardID]bool,
-	hops map[cluster.ShardID]int,
-	maxHops int,
-	plan *Plan,
-) bool {
-	pending := sortedPending(c, pendingSet)
-
+func (b *builder) stageOne() bool {
 	// Collect the set of blocked target machines, biggest blocked shard
 	// first so we open space where it matters most.
-	var blocked []cluster.MachineID
-	seen := make(map[cluster.MachineID]bool)
-	for _, s := range pending {
-		t := target[s]
-		if !seen[t] {
-			seen[t] = true
+	blocked := b.blocked[:0]
+	for _, s := range b.pending {
+		if t := b.target[s]; !b.seen[t] {
+			b.seen[t] = true
 			blocked = append(blocked, t)
 		}
 	}
-
-	tryStage := func(victim cluster.ShardID, isPending bool) bool {
-		if hops[victim] >= maxHops {
-			return false
-		}
-		m := pl.bestStaging(c, w, victim, target[victim])
-		if m == cluster.Unassigned {
-			return false
-		}
-		plan.Moves = append(plan.Moves, Move{S: victim, From: w.Home(victim), To: m})
-		plan.Staged++
-		if !isPending {
-			plan.Displaced++
-			pendingSet[victim] = true // must return to its (unchanged) target
-		}
-		w.Move(victim, m)
-		if cluster.DebugAsserts {
-			w.MustInvariants("plan staging move")
-		}
-		hops[victim]++
-		return true
+	for _, t := range blocked {
+		b.seen[t] = false
 	}
+	b.blocked = blocked
 
 	// Preference 1: pending shards that sit on blocked machines.
 	for _, t := range blocked {
-		var victims []candidate
-		w.EachShardOn(t, func(u cluster.ShardID) {
-			if pendingSet[u] {
-				victims = append(victims, candidate{u, true})
-			}
-		})
-		sortCandidates(c, victims)
-		for _, v := range victims {
-			if tryStage(v.victim, true) {
-				return true
-			}
+		if b.stageFrom(t, true) {
+			return true
 		}
 	}
-	if !pl.AllowDisplace {
+	if !b.pl.AllowDisplace {
 		return false
 	}
 	// Preference 2: displace settled shards off blocked machines.
 	for _, t := range blocked {
-		var victims []candidate
-		w.EachShardOn(t, func(u cluster.ShardID) {
-			if !pendingSet[u] {
-				victims = append(victims, candidate{u, false})
-			}
-		})
-		sortCandidates(c, victims)
-		for _, v := range victims {
-			if tryStage(v.victim, false) {
-				return true
-			}
+		if b.stageFrom(t, false) {
+			return true
 		}
 	}
 	return false
 }
 
-// candidate is an eviction candidate considered by stageOne.
-type candidate struct {
-	victim cluster.ShardID
-	isPend bool
+// stageFrom tries to stage one shard off machine t: a pending one when
+// pending is set, a settled one otherwise. It tries the smallest first:
+// evicting the smallest shard that opens enough space minimizes wasted
+// migration volume.
+func (b *builder) stageFrom(t cluster.MachineID, pending bool) bool {
+	victims := b.victims[:0]
+	for i, n := 0, b.w.Count(t); i < n; i++ {
+		if u := b.w.ShardAt(t, i); b.isPending[u] == pending {
+			victims = append(victims, candidate{u, b.c.Shards[u].Static.MaxDim()})
+		}
+	}
+	slices.SortFunc(victims, candidate.compare)
+	b.victims = victims
+	for _, v := range victims {
+		if b.tryStage(v.victim, pending) {
+			return true
+		}
+	}
+	return false
 }
 
-// sortCandidates orders eviction candidates smallest-first: evicting the
-// smallest shard that opens enough space minimizes wasted migration volume.
-func sortCandidates(c *cluster.Cluster, vs []candidate) {
-	sort.Slice(vs, func(i, j int) bool {
-		a, b := c.Shards[vs[i].victim].Static.MaxDim(), c.Shards[vs[j].victim].Static.MaxDim()
-		if a != b {
-			return a < b
-		}
-		return vs[i].victim < vs[j].victim
-	})
+// tryStage moves victim to its best staging machine, unless it already
+// used up its hops or nothing fits it. A settled victim is displaced: it
+// becomes pending to return to its (unchanged) target.
+func (b *builder) tryStage(victim cluster.ShardID, pending bool) bool {
+	if b.hops[victim] >= b.maxHops {
+		return false
+	}
+	m := b.pl.bestStaging(b.c, b.w, victim, b.target[victim])
+	if m == cluster.Unassigned {
+		return false
+	}
+	b.plan.Moves = append(b.plan.Moves, Move{S: victim, From: b.w.Home(victim), To: m})
+	b.plan.Staged++
+	if !pending {
+		b.plan.Displaced++
+		b.addPending(victim)
+	}
+	b.w.Move(victim, m)
+	if cluster.DebugAsserts {
+		b.w.MustInvariants("plan staging move")
+	}
+	b.hops[victim]++
+	return true
+}
+
+// candidate is an eviction candidate considered by stageOne, with its
+// maximum static dimension.
+type candidate struct {
+	victim cluster.ShardID
+	size   float64
+}
+
+// compare orders candidates smallest-first, ties by shard ID.
+func (a candidate) compare(b candidate) int {
+	switch {
+	case a.size < b.size:
+		return -1
+	case a.size > b.size:
+		return 1
+	}
+	return cmp.Compare(a.victim, b.victim)
 }
 
 // bestStaging picks the intermediate machine for victim: it must fit the

@@ -41,3 +41,18 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildLarge plans a swap-heavy reassignment at the
+// exchange-solve scale: 1000 machines and 15,000 shards at 0.95 fill with
+// 8 fleet-average exchange machines, where thousands of shards move and
+// many swaps deadlock and need staging.
+func BenchmarkBuildLarge(b *testing.B) {
+	from, to := swapPair(b, 1000, 15000, 0.95, 8, 40000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DefaultPlanner().Build(from, to); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

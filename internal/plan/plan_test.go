@@ -28,7 +28,7 @@ func mkCluster(caps []float64, statics []float64) *cluster.Cluster {
 	return c
 }
 
-func mustPlacement(t *testing.T, c *cluster.Cluster, assign []cluster.MachineID) *cluster.Placement {
+func mustPlacement(t testing.TB, c *cluster.Cluster, assign []cluster.MachineID) *cluster.Placement {
 	t.Helper()
 	p, err := cluster.FromAssignment(c, assign)
 	if err != nil {
